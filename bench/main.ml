@@ -1382,6 +1382,64 @@ let perf () =
   Printf.printf "  wrote BENCH_PERF.json (%d scenarios, %s tier)\n%!" (List.length rows)
     (if fast then "fast" else "paper-scale")
 
+(* --- Scale: simulator cost against process count ----------------------- *)
+
+(* The fig2 put-fence shape (every proc puts one unique 512 B value into
+   one directory, one fence, one get) at growing node counts x 16 procs.
+   Each point runs in a fresh process of this executable: the peak heap
+   ([Gc.top_heap_words]) and the weak memo tables are process-wide, so a
+   second point in the same process would inherit the first one's. The
+   least-squares slope of log cost against log procs is 1 when the
+   simulator's cost is linear in N and 2 when it is quadratic. *)
+
+let scale_point nodes =
+  let t0 = Unix.gettimeofday () in
+  let r = Kap.run { (Kap.fully_populated ~nodes) with Kap.value_size = 512 } in
+  let wall = Unix.gettimeofday () -. t0 in
+  let heap = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
+  Printf.printf "%d %.6f %d %d %.9f %d\n%!" nodes wall heap r.Kap.r_events r.Kap.r_wallclock
+    r.Kap.r_rpc_messages;
+  (* The parent reads one line and closes the pipe. *)
+  exit 0
+
+let loglog_slope points =
+  let n = float_of_int (List.length points) in
+  let logs = List.map (fun (x, y) -> (log x, log y)) points in
+  let sx = List.fold_left (fun a (x, _) -> a +. x) 0. logs
+  and sy = List.fold_left (fun a (_, y) -> a +. y) 0. logs in
+  let sxy = List.fold_left (fun a (x, y) -> a +. (x *. y)) 0. logs
+  and sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0. logs in
+  ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx))
+
+let scale () =
+  match Sys.getenv_opt "SCALE_NODES" with
+  | Some n -> scale_point (int_of_string n)
+  | None ->
+    header "Scale: fig2 put-fence simulator cost vs processes (fresh process per point)";
+    let sizes = if fast then [ 16; 32; 64 ] else [ 64; 128; 256; 512; 1024 ] in
+    Printf.printf "%6s %7s %9s %14s %12s %11s %12s %9s\n" "nodes" "procs" "wall(s)"
+      "peak-heap(MB)" "B/process" "sim-events" "sim-clock" "rpc-msgs";
+    let rows =
+      List.map
+        (fun nodes ->
+          let cmd =
+            Printf.sprintf "SCALE_NODES=%d %s scale" nodes (Filename.quote Sys.executable_name)
+          in
+          let ic = Unix.open_process_in cmd in
+          let line = input_line ic in
+          if Unix.close_process_in ic <> Unix.WEXITED 0 then
+            failwith (Printf.sprintf "scale: point at %d nodes failed" nodes);
+          Scanf.sscanf line "%d %f %d %d %f %d" (fun nodes wall heap events clock rpcs ->
+              let procs = nodes * 16 in
+              Printf.printf "%6d %7d %9.3f %14.2f %12d %11d %12.6f %9d\n%!" nodes procs wall
+                (float_of_int heap /. 1e6) (heap / procs) events clock rpcs;
+              (float_of_int procs, wall, float_of_int heap)))
+        sizes
+    in
+    Printf.printf "log-log slope vs procs: wall %.2f, peak heap %.2f\n"
+      (loglog_slope (List.map (fun (p, w, _) -> (p, w)) rows))
+      (loglog_slope (List.map (fun (p, _, h) -> (p, h)) rows))
+
 (* --- Driver -------------------------------------------------------------------------- *)
 
 let experiments =
@@ -1407,6 +1465,7 @@ let experiments =
     ("telem", telem);
     ("elastic", elastic);
     ("perf", perf);
+    ("scale", scale);
   ]
 
 let () =

@@ -178,14 +178,14 @@ let escaped_length s =
    memoized by physical identity. Keys are held weakly: entries die with
    the value they describe. [Hashtbl.hash] only inspects a bounded prefix
    of the structure, and [(==)] resolves collisions exactly. *)
-module Size_memo = Ephemeron.K1.Make (struct
+module Memo = Ephemeron.K1.Make (struct
   type nonrec t = t
 
   let equal = ( == )
   let hash = Hashtbl.hash
 end)
 
-let size_memo : int Size_memo.t = Size_memo.create 1024
+let size_memo : int Memo.t = Memo.create 1024
 
 (* Small containers are cheaper to re-walk than to track: keeping every
    two-field RPC payload in the weak table just fills it with entries
@@ -202,7 +202,7 @@ let rec serialized_size v =
   | Float f -> String.length (float_repr f)
   | String s -> escaped_length s
   | List _ | Obj _ -> (
-    match Size_memo.find_opt size_memo v with
+    match Memo.find_opt size_memo v with
     | Some n -> n
     | None ->
       let n = container_size v in
@@ -210,11 +210,11 @@ let rec serialized_size v =
         (* Structurally similar containers (successive versions of one
            growing directory) share a bucket, and weak entries are only
            swept lazily — keep the table small so lookups stay O(1). *)
-        if Size_memo.length size_memo > 512 then begin
-          Size_memo.clean size_memo;
-          if Size_memo.length size_memo > 512 then Size_memo.reset size_memo
+        if Memo.length size_memo > 512 then begin
+          Memo.clean size_memo;
+          if Memo.length size_memo > 512 then Memo.reset size_memo
         end;
-        Size_memo.replace size_memo v n
+        Memo.replace size_memo v n
       end;
       n)
 

@@ -88,6 +88,10 @@ val serialized_size : t -> int
     shared across message hops), so repeated queries on a shared node
     are O(1). *)
 
+module Memo : Ephemeron.S with type key = t
+(** Weak tables keyed on a value's physical identity ([(==)]): memos of
+    facts derived from immutable values, which die with the value. *)
+
 (** {1 Miscellany} *)
 
 val pad : int -> t

@@ -16,7 +16,6 @@ let dirent_ref entry =
   | _ -> raise (Json.Type_error "malformed directory entry")
 
 let dir_entries = Json.to_obj
-let dir_size d = List.length (Json.to_obj d)
 
 let split_key key =
   let comps = String.split_on_char '.' key in
@@ -26,9 +25,33 @@ let split_key key =
 
 type lookup_result = Found of Json.t | No_key | Need of Sha1.digest
 
-let default_find_entry _sha dir name = Json.member_opt name dir
+(* Directories of [dir_index_threshold] entries or more are indexed once
+   per physical value for all ranks: payloads travel by reference and
+   objects are immutable. Bounded like the [Json] size memo. *)
+let dir_index_threshold = 64
+let dir_memo_bound = 256
+let dir_memo : (string, Json.t) Hashtbl.t Json.Memo.t = Json.Memo.create 64
+let dir_memo_length () = Json.Memo.length dir_memo
 
-let lookup ~fetch ?(find_entry = default_find_entry) ~root ~key () =
+let find_entry dir name =
+  match dir with
+  | Json.Obj entries when List.compare_length_with entries dir_index_threshold >= 0 ->
+    let idx =
+      match Json.Memo.find_opt dir_memo dir with
+      | Some idx -> idx
+      | None ->
+        let idx = Hashtbl.create (List.length entries) in
+        (* The first binding of a name wins, as in [Json.member_opt]. *)
+        List.iter (fun (k, v) -> if not (Hashtbl.mem idx k) then Hashtbl.add idx k v) entries;
+        if Json.Memo.length dir_memo >= dir_memo_bound then Json.Memo.clean dir_memo;
+        if Json.Memo.length dir_memo >= dir_memo_bound then Json.Memo.reset dir_memo;
+        Json.Memo.replace dir_memo dir idx;
+        idx
+    in
+    Hashtbl.find_opt idx name
+  | _ -> Json.member_opt name dir
+
+let lookup ~fetch ~root ~key () =
   let comps = split_key key in
   let rec walk dir_sha = function
     | [] -> No_key (* key named a directory, not a value *)
@@ -36,7 +59,7 @@ let lookup ~fetch ?(find_entry = default_find_entry) ~root ~key () =
       match fetch dir_sha with
       | None -> Need dir_sha
       | Some dir -> (
-        match find_entry dir_sha dir name with
+        match find_entry dir name with
         | None -> No_key
         | Some entry -> (
           match dirent_ref entry with

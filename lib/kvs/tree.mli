@@ -33,8 +33,6 @@ val dirent_ref : Json.t -> [ `File of Sha1.digest | `Dir of Sha1.digest | `Val o
 (** Decode an entry. Raises [Json.Type_error] on malformed entries. *)
 
 val dir_entries : Json.t -> (string * Json.t) list
-val dir_size : Json.t -> int
-(** Number of entries in a directory object. *)
 
 (** {1 Key paths} *)
 
@@ -52,15 +50,19 @@ type lookup_result =
           in and retry (lookups are idempotent against a pinned root) *)
 
 val lookup :
-  fetch:(Sha1.digest -> Json.t option) ->
-  ?find_entry:(Sha1.digest -> Json.t -> string -> Json.t option) ->
-  root:Sha1.digest ->
-  key:string ->
-  unit ->
-  lookup_result
+  fetch:(Sha1.digest -> Json.t option) -> root:Sha1.digest -> key:string -> unit -> lookup_result
 (** [lookup ~fetch ~root ~key ()] walks the path from the directory at
-    [root]. [find_entry] (default: linear scan) lets callers index
-    large directory objects. *)
+    [root], resolving each component with {!find_entry}. *)
+
+val find_entry : Json.t -> string -> Json.t option
+(** The entry a directory binds to a name (the first, if duplicated).
+    Directories of {!dir_index_threshold} entries or more go through a
+    hash index shared by all ranks, built once per physical value and
+    held weakly; at most {!dir_memo_bound} indexes are kept. *)
+
+val dir_index_threshold : int
+val dir_memo_bound : int
+val dir_memo_length : unit -> int
 
 (** {1 Update (master side)} *)
 

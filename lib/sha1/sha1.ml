@@ -105,12 +105,7 @@ let digest_string s = Flux_util.Hexs.encode (digest_bytes_raw s)
    entries die with their value; [(==)] resolves the (bounded-prefix)
    structural-hash collisions exactly. Scalars are cheap to hash and
    rarely shared, so only containers are memoized. *)
-module Digest_memo = Ephemeron.K1.Make (struct
-  type t = Flux_json.Json.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
+module Digest_memo = Flux_json.Json.Memo
 
 let digest_memo : string Digest_memo.t = Digest_memo.create 256
 

@@ -138,6 +138,64 @@ let prop_tree_many_keys =
           acc && lookup_value fetch root key = Some (Json.int v))
         expected true)
 
+(* --- Directory-entry index --------------------------------------------- *)
+
+let big_dir n = Json.obj (List.init n (fun i -> (Printf.sprintf "k%d" i, Json.int i)))
+
+(* Sizes 0-200 cross [Tree.dir_index_threshold]; names come from a pool
+   smaller than the directory, so some repeat, and some probes miss. *)
+let prop_find_entry_matches_member_opt =
+  QCheck.Test.make ~name:"indexed lookup = Json.member_opt" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(0 -- 200) (pair (int_range 0 150) small_nat))
+        (list_of_size Gen.(1 -- 20) (int_range 0 160)))
+    (fun (bindings, probes) ->
+      let dir = Json.obj (List.map (fun (k, v) -> (Printf.sprintf "k%d" k, Json.int v)) bindings) in
+      List.for_all
+        (fun p ->
+          let name = Printf.sprintf "k%d" p in
+          Option.equal Json.equal (Tree.find_entry dir name) (Json.member_opt name dir))
+        probes)
+
+let test_dir_memo_weak () =
+  let collected = ref false in
+  let[@inline never] look_once () =
+    let dir = big_dir Tree.dir_index_threshold in
+    Gc.finalise_last (fun () -> collected := true) dir;
+    check (Alcotest.option json_t) "found" (Some (Json.int 3)) (Tree.find_entry dir "k3")
+  in
+  look_once ();
+  Gc.full_major ();
+  check bool "directory collected with its index" true !collected
+
+(* Structurally equal directories each get their own index: the entry
+   returned is the very value stored in the directory looked up. *)
+let test_dir_memo_identity () =
+  let a = big_dir 100 and b = big_dir 100 in
+  check bool "physically distinct" false (a == b);
+  check bool "structurally equal" true (Json.equal a b);
+  List.iter
+    (fun dir ->
+      let own = Json.member_opt "k7" dir in
+      match (Tree.find_entry dir "k7", own) with
+      | Some got, Some own -> check bool "own entry" true (got == own)
+      | _ -> Alcotest.fail "k7 missing")
+    [ a; b; a; b ]
+
+(* Every directory stays alive, so sweeping dead entries cannot make
+   room: the memo must reset. *)
+let test_dir_memo_bounded () =
+  let live = ref [] in
+  for i = 1 to Tree.dir_memo_bound + 20 do
+    let dir = big_dir (Tree.dir_index_threshold + i) in
+    live := dir :: !live;
+    ignore (Tree.find_entry dir "k0" : Json.t option);
+    if Tree.dir_memo_length () > Tree.dir_memo_bound then
+      Alcotest.failf "memo holds %d indexes after %d directories" (Tree.dir_memo_length ()) i
+  done;
+  ignore (Sys.opaque_identity !live)
+
 (* --- Distributed KVS harness ------------------------------------------ *)
 
 type world = {
@@ -512,6 +570,13 @@ let () =
           Alcotest.test_case "missing object reported" `Quick test_lookup_reports_missing;
         ] );
       qsuite "tree-props" [ prop_tree_many_keys ];
+      ( "dir-index",
+        [
+          Alcotest.test_case "memo is weak" `Quick test_dir_memo_weak;
+          Alcotest.test_case "memo is identity-keyed" `Quick test_dir_memo_identity;
+          Alcotest.test_case "memo is bounded" `Quick test_dir_memo_bounded;
+        ] );
+      qsuite "dir-index-props" [ prop_find_entry_matches_member_opt ];
       ( "consistency",
         [
           Alcotest.test_case "single node" `Quick test_kvs_single_node;
