@@ -1382,25 +1382,59 @@ let perf () =
   Printf.printf "  wrote BENCH_PERF.json (%d scenarios, %s tier)\n%!" (List.length rows)
     (if fast then "fast" else "paper-scale")
 
-(* --- Scale: simulator cost against process count ----------------------- *)
+(* --- Scale: simulator cost against process and task count --------------- *)
 
-(* The fig2 put-fence shape (every proc puts one unique 512 B value into
-   one directory, one fence, one get) at growing node counts x 16 procs.
-   Each point runs in a fresh process of this executable: the peak heap
+(* Two curves. The fig2 put-fence shape (every proc puts one unique
+   512 B value into one directory, one fence, one get) at growing node
+   counts x 16 procs; and the sched-storm shape (a depth-2, fanout-2
+   instance tree over 64 nodes fed a seeded pilot stream of sleep tasks
+   at t=0, no launch stack) at growing task counts. Each point runs in
+   a fresh process of this executable: the peak heap
    ([Gc.top_heap_words]) and the weak memo tables are process-wide, so a
    second point in the same process would inherit the first one's. The
-   least-squares slope of log cost against log procs is 1 when the
-   simulator's cost is linear in N and 2 when it is quadratic. *)
+   least-squares slope of log cost against log size is 1 when the
+   simulator's cost is linear in it and 2 when it is quadratic. *)
+
+(* Print one point's line for the parent, then exit: the parent reads
+   one line and closes the pipe. *)
+let report_point size ~wall ~events ~clock ~rpcs =
+  let heap = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
+  Printf.printf "%d %.6f %d %d %.9f %d\n%!" size wall heap events clock rpcs;
+  exit 0
 
 let scale_point nodes =
   let t0 = Unix.gettimeofday () in
   let r = Kap.run { (Kap.fully_populated ~nodes) with Kap.value_size = 512 } in
+  report_point nodes ~wall:(Unix.gettimeofday () -. t0) ~events:r.Kap.r_events
+    ~clock:r.Kap.r_wallclock ~rpcs:r.Kap.r_rpc_messages
+
+let task_point tasks =
+  let t0 = Unix.gettimeofday () in
+  let eng = Engine.create () in
+  let sess = Session.create eng ~fanout:2 ~size:64 () in
+  let root = Instance.create_root sess ~name:"scale" () in
+  Instance.submit_plan root
+    (Workload.nest ~depth:2 ~children:2 ~policy:"fcfs" ~nnodes:64
+       (Workload.pilot_tasks (Rng.create 1) ~n:tasks ()));
+  Engine.run eng;
   let wall = Unix.gettimeofday () -. t0 in
-  let heap = (Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8) in
-  Printf.printf "%d %.6f %d %d %.9f %d\n%!" nodes wall heap r.Kap.r_events r.Kap.r_wallclock
-    r.Kap.r_rpc_messages;
-  (* The parent reads one line and closes the pipe. *)
-  exit 0
+  (* Every task plus the six child-instance jobs of the tree. *)
+  let completed = (Instance.stats_recursive root).Instance.st_completed in
+  if completed <> tasks + 6 then
+    failwith (Printf.sprintf "scale: %d of %d tasks completed" (completed - 6) tasks);
+  report_point tasks ~wall ~events:(Engine.events_executed eng) ~clock:(Engine.now eng)
+    ~rpcs:(Session.rpc_net_stats sess).Net.messages
+
+(* Run one point in a fresh process with [var]=[size] set. *)
+let fresh_point var size =
+  let cmd = Printf.sprintf "%s=%d %s scale" var size (Filename.quote Sys.executable_name) in
+  let ic = Unix.open_process_in cmd in
+  let line = In_channel.input_line ic in
+  match (Unix.close_process_in ic, line) with
+  | Unix.WEXITED 0, Some line ->
+    Scanf.sscanf line "%d %f %d %d %f %d" (fun size wall heap events clock rpcs ->
+        (size, wall, heap, events, clock, rpcs))
+  | _ -> failwith (Printf.sprintf "scale: point %s=%d failed" var size)
 
 let loglog_slope points =
   let n = float_of_int (List.length points) in
@@ -1411,10 +1445,16 @@ let loglog_slope points =
   and sxx = List.fold_left (fun a (x, _) -> a +. (x *. x)) 0. logs in
   ((n *. sxy) -. (sx *. sy)) /. ((n *. sxx) -. (sx *. sx))
 
+let print_slopes what rows =
+  Printf.printf "log-log slope vs %s: wall %.2f, peak heap %.2f\n" what
+    (loglog_slope (List.map (fun (p, w, _) -> (p, w)) rows))
+    (loglog_slope (List.map (fun (p, _, h) -> (p, h)) rows))
+
 let scale () =
-  match Sys.getenv_opt "SCALE_NODES" with
-  | Some n -> scale_point (int_of_string n)
-  | None ->
+  match (Sys.getenv_opt "SCALE_NODES", Sys.getenv_opt "SCALE_TASKS") with
+  | Some n, _ -> scale_point (int_of_string n)
+  | None, Some n -> task_point (int_of_string n)
+  | None, None ->
     header "Scale: fig2 put-fence simulator cost vs processes (fresh process per point)";
     let sizes = if fast then [ 16; 32; 64 ] else [ 64; 128; 256; 512; 1024 ] in
     Printf.printf "%6s %7s %9s %14s %12s %11s %12s %9s\n" "nodes" "procs" "wall(s)"
@@ -1422,23 +1462,31 @@ let scale () =
     let rows =
       List.map
         (fun nodes ->
-          let cmd =
-            Printf.sprintf "SCALE_NODES=%d %s scale" nodes (Filename.quote Sys.executable_name)
-          in
-          let ic = Unix.open_process_in cmd in
-          let line = input_line ic in
-          if Unix.close_process_in ic <> Unix.WEXITED 0 then
-            failwith (Printf.sprintf "scale: point at %d nodes failed" nodes);
-          Scanf.sscanf line "%d %f %d %d %f %d" (fun nodes wall heap events clock rpcs ->
-              let procs = nodes * 16 in
-              Printf.printf "%6d %7d %9.3f %14.2f %12d %11d %12.6f %9d\n%!" nodes procs wall
-                (float_of_int heap /. 1e6) (heap / procs) events clock rpcs;
-              (float_of_int procs, wall, float_of_int heap)))
+          let nodes, wall, heap, events, clock, rpcs = fresh_point "SCALE_NODES" nodes in
+          let procs = nodes * 16 in
+          Printf.printf "%6d %7d %9.3f %14.2f %12d %11d %12.6f %9d\n%!" nodes procs wall
+            (float_of_int heap /. 1e6) (heap / procs) events clock rpcs;
+          (float_of_int procs, wall, float_of_int heap))
         sizes
     in
-    Printf.printf "log-log slope vs procs: wall %.2f, peak heap %.2f\n"
-      (loglog_slope (List.map (fun (p, w, _) -> (p, w)) rows))
-      (loglog_slope (List.map (fun (p, _, h) -> (p, h)) rows))
+    print_slopes "procs" rows;
+    header "Scale: sched-storm simulator cost vs tasks (64 nodes, depth-2 tree)";
+    let sizes =
+      if fast then [ 5_000; 10_000; 20_000 ]
+      else [ 5_000; 10_000; 20_000; 40_000; 80_000; 160_000; 320_000 ]
+    in
+    Printf.printf "%7s %9s %14s %9s %11s %14s %9s\n" "tasks" "wall(s)" "peak-heap(MB)"
+      "B/task" "sim-events" "sim-clock" "rpc-msgs";
+    let rows =
+      List.map
+        (fun tasks ->
+          let tasks, wall, heap, events, clock, rpcs = fresh_point "SCALE_TASKS" tasks in
+          Printf.printf "%7d %9.3f %14.2f %9d %11d %14.6f %9d\n%!" tasks wall
+            (float_of_int heap /. 1e6) (heap / tasks) events clock rpcs;
+          (float_of_int tasks, wall, float_of_int heap))
+        sizes
+    in
+    print_slopes "tasks" rows
 
 (* --- Driver -------------------------------------------------------------------------- *)
 

@@ -4,13 +4,14 @@ module Jobspec = Flux_core.Jobspec
 module Pool = Flux_core.Pool
 module Policy = Flux_core.Policy
 module Instance = Flux_core.Instance
+module Job_queue = Flux_core.Job_queue
 
 type t = {
   eng : Engine.t;
   pool : Pool.t;
   policy : (module Policy.S);
   cost : Instance.cost_model;
-  mutable queue : Job.t list;
+  queue : Job.t Job_queue.t;
   mutable running : (Job.t * Pool.grant) list;
   mutable all_jobs : Job.t list; (* reversed *)
   mutable pending_submissions : int;
@@ -27,7 +28,7 @@ let create eng ~nnodes ?(policy = "fcfs") ?(cost_model = Instance.default_cost_m
     pool = Pool.create ~nodes:(List.init nnodes Fun.id) ();
     policy = Policy.by_name policy;
     cost = cost_model;
-    queue = [];
+    queue = Job_queue.create ();
     running = [];
     all_jobs = [];
     pending_submissions = 0;
@@ -38,7 +39,7 @@ let create eng ~nnodes ?(policy = "fcfs") ?(cost_model = Instance.default_cost_m
     jids = Flux_util.Idgen.create ~prefix:"central." ();
   }
 
-let is_idle t = t.queue = [] && t.running = [] && t.pending_submissions = 0
+let is_idle t = Job_queue.is_empty t.queue && t.running = [] && t.pending_submissions = 0
 let check_idle t = if is_idle t then List.iter (fun f -> f ()) t.idle_cbs
 let on_idle t f = t.idle_cbs <- t.idle_cbs @ [ f ]
 
@@ -50,7 +51,7 @@ let rec kick t =
     let cost =
       t.cost.Instance.decision_base
       +. (t.cost.Instance.decision_per_node *. float_of_int (Pool.total_nodes t.pool))
-      +. (t.cost.Instance.decision_per_job *. float_of_int (List.length t.queue))
+      +. (t.cost.Instance.decision_per_job *. float_of_int (Job_queue.length t.queue))
     in
     let start = Float.max (Engine.now t.eng) t.cpu_free_at in
     t.cpu_free_at <- start +. cost;
@@ -65,7 +66,8 @@ and cycle t =
   t.sched_cycles <- t.sched_cycles + 1;
   let module P = (val t.policy) in
   let starts =
-    P.schedule ~now:(Engine.now t.eng) ~pool:t.pool ~queue:t.queue ~running:t.running
+    P.schedule ~now:(Engine.now t.eng) ~pool:t.pool ~queue:(Job_queue.to_list t.queue)
+      ~running:t.running
   in
   List.iter
     (fun { Policy.s_job = job; s_nnodes } ->
@@ -74,7 +76,7 @@ and cycle t =
         | Some grant ->
           t.cpu_free_at <-
             Float.max (Engine.now t.eng) t.cpu_free_at +. t.cost.Instance.start_cost;
-          t.queue <- List.filter (fun j -> j != job) t.queue;
+          Job_queue.remove t.queue job;
           job.Job.granted_nodes <- grant.Pool.g_nodes;
           Job.set_state job ~now:(Engine.now t.eng) Job.Allocated;
           Job.set_state job ~now:(Engine.now t.eng) Job.Running;
@@ -105,7 +107,7 @@ let submit t (s : Job.submission) =
       ~spec:s.Job.sub_spec ~payload:s.Job.sub_payload ~now:(Engine.now t.eng)
   in
   t.all_jobs <- job :: t.all_jobs;
-  t.queue <- t.queue @ [ job ];
+  Job_queue.push t.queue job;
   kick t
 
 let submit_plan t subs =

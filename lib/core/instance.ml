@@ -34,7 +34,7 @@ type t = {
   provenance : bool;
   i_parent : t option;
   mutable i_children : t list;
-  mutable queue : Job.t list; (* pending, submission order *)
+  queue : Job.t Job_queue.t; (* pending, submission order *)
   mutable running : (Job.t * Pool.grant) list;
   mutable all_jobs : Job.t list; (* reversed *)
   mutable pending_submissions : int;
@@ -77,7 +77,7 @@ let policy_name t =
   P.name
 
 let jobs t = List.rev t.all_jobs
-let queue_length t = List.length t.queue
+let queue_length t = Job_queue.length t.queue
 let running_count t = List.length t.running
 
 (* --- Provenance ------------------------------------------------------- *)
@@ -103,33 +103,27 @@ let record_state t (job : Job.t) =
 
 let set_tracer t tr = t.tracer <- tr
 
-let trace t ~name ?ctx ?fields () =
-  match t.tracer with
-  | Some tr -> Flux_trace.Tracer.emit tr ~cat:"sched" ~name ?ctx ?fields ()
-  | None -> ()
+(* Every call site matches [t.tracer] itself before building its name
+   and fields, so an untraced run allocates nothing for tracing. *)
+let emit tr ~name ?ctx ~fields () = Flux_trace.Tracer.emit tr ~cat:"sched" ~name ?ctx ~fields ()
 
 let job_ctx t (job : Job.t) = Hashtbl.find_opt t.job_ctxs job.Job.jid
 
 (* Open a fresh span for [job]: the root span at submit, then a child
    span per causal step (match). Terminal states drop the entry. *)
-let span_job t (job : Job.t) ~name ?(fields = []) () =
-  match t.tracer with
-  | None -> ()
-  | Some tr ->
-    let ctx =
-      match Hashtbl.find_opt t.job_ctxs job.Job.jid with
-      | None -> Flux_trace.Tracer.root_ctx tr
-      | Some parent -> Flux_trace.Tracer.child_ctx tr parent
-    in
-    Hashtbl.replace t.job_ctxs job.Job.jid ctx;
-    Flux_trace.Tracer.emit tr ~cat:"sched" ~name ~ctx
-      ~fields:
-        ([
-           ("jid", Flux_json.Json.string job.Job.jid);
-           ("depth", Flux_json.Json.int (depth t));
-         ]
-        @ fields)
-      ()
+let span_job t tr (job : Job.t) ~name ~fields =
+  let ctx =
+    match Hashtbl.find_opt t.job_ctxs job.Job.jid with
+    | None -> Flux_trace.Tracer.root_ctx tr
+    | Some parent -> Flux_trace.Tracer.child_ctx tr parent
+  in
+  Hashtbl.replace t.job_ctxs job.Job.jid ctx;
+  emit tr ~name ~ctx
+    ~fields:
+      (("jid", Flux_json.Json.string job.Job.jid)
+      :: ("depth", Flux_json.Json.int (depth t))
+      :: fields)
+    ()
 
 (* Failure hooks bubble: a leaf job's failure is visible to the leaf's
    own hooks and to every ancestor's, so a center-level requeue policy
@@ -142,21 +136,24 @@ let on_job_failed t f = t.fail_hooks <- t.fail_hooks @ [ f ]
 
 let transition t job s =
   Job.set_state job ~now:(Engine.now t.eng) s;
-  trace t
-    ~name:("job." ^ (match s with
-          | Job.Pending -> "pending"
-          | Job.Allocated -> "allocated"
-          | Job.Running -> "running"
-          | Job.Complete -> "complete"
-          | Job.Failed _ -> "failed"
-          | Job.Cancelled -> "cancelled"))
-    ?ctx:(job_ctx t job)
-    ~fields:
-      [
-        ("jid", Flux_json.Json.string job.Job.jid);
-        ("nodes", Flux_json.Json.int (List.length job.Job.granted_nodes));
-      ]
-    ();
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    emit tr
+      ~name:("job." ^ (match s with
+            | Job.Pending -> "pending"
+            | Job.Allocated -> "allocated"
+            | Job.Running -> "running"
+            | Job.Complete -> "complete"
+            | Job.Failed _ -> "failed"
+            | Job.Cancelled -> "cancelled"))
+      ?ctx:(job_ctx t job)
+      ~fields:
+        [
+          ("jid", Flux_json.Json.string job.Job.jid);
+          ("nodes", Flux_json.Json.int (List.length job.Job.granted_nodes));
+        ]
+      ());
   if Job.is_terminal s then Hashtbl.remove t.job_ctxs job.Job.jid;
   record_state t job;
   match s with
@@ -166,7 +163,7 @@ let transition t job s =
 
 (* --- Idle detection ------------------------------------------------------ *)
 
-let is_idle t = t.queue = [] && t.running = [] && t.pending_submissions = 0
+let is_idle t = Job_queue.is_empty t.queue && t.running = [] && t.pending_submissions = 0
 
 let check_idle t = if is_idle t then List.iter (fun f -> f ()) t.idle_cbs
 
@@ -180,7 +177,7 @@ let rec kick t =
     let cost =
       t.cost.decision_base
       +. (t.cost.decision_per_node *. float_of_int (Pool.total_nodes t.i_pool))
-      +. (t.cost.decision_per_job *. float_of_int (List.length t.queue))
+      +. (t.cost.decision_per_job *. float_of_int (Job_queue.length t.queue))
     in
     let start = Float.max (Engine.now t.eng) t.cpu_free_at in
     t.cpu_free_at <- start +. cost;
@@ -193,11 +190,15 @@ let rec kick t =
 
 and cycle t =
   t.sched_cycles <- t.sched_cycles + 1;
-  trace t ~name:"cycle" ~fields:[ ("queue", Flux_json.Json.int (List.length t.queue)) ] ();
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    emit tr ~name:"cycle" ~fields:[ ("queue", Flux_json.Json.int (Job_queue.length t.queue)) ] ());
   adjust_malleable t;
   let module P = (val t.i_policy) in
   let starts =
-    P.schedule ~now:(Engine.now t.eng) ~pool:t.i_pool ~queue:t.queue ~running:t.running
+    P.schedule ~now:(Engine.now t.eng) ~pool:t.i_pool ~queue:(Job_queue.to_list t.queue)
+      ~running:t.running
   in
   let started_any = ref false in
   List.iter
@@ -208,15 +209,17 @@ and cycle t =
           started_any := true;
           t.cpu_free_at <-
             Float.max (Engine.now t.eng) t.cpu_free_at +. t.cost.start_cost;
-          t.queue <- List.filter (fun j -> j != job) t.queue;
+          Job_queue.remove t.queue job;
           job.Job.granted_nodes <- grant.Pool.g_nodes;
-          span_job t job ~name:"match"
-            ~fields:
-              [
-                ("nodes", Flux_json.Json.int (List.length grant.Pool.g_nodes));
-                ("wait", Flux_json.Json.float (Engine.now t.eng -. job.Job.submit_time));
-              ]
-            ();
+          (match t.tracer with
+          | None -> ()
+          | Some tr ->
+            span_job t tr job ~name:"match"
+              ~fields:
+                [
+                  ("nodes", Flux_json.Json.int (List.length grant.Pool.g_nodes));
+                  ("wait", Flux_json.Json.float (Engine.now t.eng -. job.Job.submit_time));
+                ]);
           transition t job Job.Allocated;
           launch t job grant
         | None -> ())
@@ -234,9 +237,9 @@ and adjust_malleable t =
     | Jobspec.Malleable (min_n, max_n) when job.Job.jstate = Job.Running ->
       let cur = List.length grant.Pool.g_nodes in
       let grant' =
-        if t.queue <> [] && cur > min_n then
+        if (not (Job_queue.is_empty t.queue)) && cur > min_n then
           Pool.shrink_grant t.i_pool grant ~spec:job.Job.spec ~release:(cur - min_n)
-        else if t.queue = [] && cur < max_n then
+        else if Job_queue.is_empty t.queue && cur < max_n then
           match
             Pool.expand_grant t.i_pool grant ~spec:job.Job.spec ~extra:(max_n - cur)
           with
@@ -286,9 +289,12 @@ and settle_pending_donation t =
       if moved <> [] then begin
         t.pending_donation <- t.pending_donation - List.length moved;
         Pool.absorb_nodes p.i_pool moved;
-        trace t ~name:"shrink.donate"
-          ~fields:[ ("nodes", Flux_json.Json.int (List.length moved)) ]
-          ();
+        (match t.tracer with
+        | None -> ()
+        | Some tr ->
+          emit tr ~name:"shrink.donate"
+            ~fields:[ ("nodes", Flux_json.Json.int (List.length moved)) ]
+            ());
         kick p
       end
   end
@@ -417,7 +423,7 @@ and create_child t ~policy ~sess ~nested ~nodes ~power_budget ~job ~grant =
       provenance = t.provenance;
       i_parent = Some t;
       i_children = [];
-      queue = [];
+      queue = Job_queue.create ();
       running = [];
       all_jobs = [];
       pending_submissions = 0;
@@ -487,10 +493,12 @@ and submit ?jid t ~spec ~payload =
   in
   let job = Job.create ~jid ~spec ~payload ~now:(Engine.now t.eng) in
   t.all_jobs <- job :: t.all_jobs;
-  t.queue <- t.queue @ [ job ];
-  span_job t job ~name:"submit"
-    ~fields:[ ("queue", Flux_json.Json.int (List.length t.queue)) ]
-    ();
+  Job_queue.push t.queue job;
+  (match t.tracer with
+  | None -> ()
+  | Some tr ->
+    span_job t tr job ~name:"submit"
+      ~fields:[ ("queue", Flux_json.Json.int (Job_queue.length t.queue)) ]);
   record_state t job;
   kick t;
   job
@@ -572,13 +580,16 @@ let preempt_for_shrink t ~need =
     List.iter
       (fun ((job : Job.t), _) ->
         Hashtbl.replace t.preempted job.Job.jid ();
-        trace t ~name:"job.preempt" ?ctx:(job_ctx t job)
-          ~fields:
-            [
-              ("jid", Flux_json.Json.string job.Job.jid);
-              ("nodes", Flux_json.Json.int (List.length job.Job.granted_nodes));
-            ]
-          ();
+        (match t.tracer with
+        | None -> ()
+        | Some tr ->
+          emit tr ~name:"job.preempt" ?ctx:(job_ctx t job)
+            ~fields:
+              [
+                ("jid", Flux_json.Json.string job.Job.jid);
+                ("nodes", Flux_json.Json.int (List.length job.Job.granted_nodes));
+              ]
+            ());
         Wexec.kill api ~jobid:job.Job.jid)
       victims
   end;
@@ -619,7 +630,7 @@ let create_root sess ?(policy = "fcfs") ?(cost_model = default_cost_model)
     provenance;
     i_parent = None;
     i_children = [];
-    queue = [];
+    queue = Job_queue.create ();
     running = [];
     all_jobs = [];
     pending_submissions = 0;
@@ -647,7 +658,7 @@ let cancel t ~jid =
   | Some job -> (
     match job.Job.jstate with
     | Job.Pending ->
-      t.queue <- List.filter (fun j -> j != job) t.queue;
+      Job_queue.remove t.queue job;
       transition t job Job.Cancelled;
       check_idle t;
       true

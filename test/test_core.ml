@@ -17,6 +17,7 @@ module Workload = Flux_core.Workload
 module Pmi = Flux_core.Pmi
 module Central = Flux_baseline.Central
 module Wexec = Flux_modules.Wexec
+module Session = Flux_cmb.Session
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -907,6 +908,31 @@ let test_hierarchy_beats_central_on_ensembles () =
     true
     (fs.Instance.st_makespan < cs.Central.bs_makespan)
 
+(* --- Scheduler cost ---------------------------------------------------------------- *)
+
+(* Words allocated while draining a flat 8-node scheduler fed [n] pilot
+   sleep tasks at t=0. The run is deterministic, so the count is too. *)
+let words_to_drain setup n =
+  let eng = Engine.create () in
+  setup eng (Workload.pilot_tasks (Rng.create 1) ~n ());
+  let before = Gc.minor_words () in
+  Engine.run eng;
+  Gc.minor_words () -. before
+
+(* Four times the tasks must cost well under sixteen times the words: a
+   pending queue that walks itself per job makes this ratio ~15. *)
+let check_cost_linear setup () =
+  let ratio = words_to_drain setup 4000 /. words_to_drain setup 1000 in
+  check bool (Printf.sprintf "4x tasks cost %.2fx words (< 6)" ratio) true (ratio < 6.0)
+
+let test_instance_cost_linear =
+  check_cost_linear (fun eng stream ->
+      let sess = Session.create eng ~size:8 () in
+      Instance.submit_plan (Instance.create_root sess ~name:"cost" ()) stream)
+
+let test_central_cost_linear =
+  check_cost_linear (fun eng stream -> Central.submit_plan (Central.create eng ~nnodes:8 ()) stream)
+
 let () =
   Alcotest.run "flux_core"
     [
@@ -983,5 +1009,10 @@ let () =
           Alcotest.test_case "central completes" `Quick test_central_completes_workload;
           Alcotest.test_case "hierarchy beats central" `Quick
             test_hierarchy_beats_central_on_ensembles;
+        ] );
+      ( "cost",
+        [
+          Alcotest.test_case "instance linear in tasks" `Quick test_instance_cost_linear;
+          Alcotest.test_case "central linear in tasks" `Quick test_central_cost_linear;
         ] );
     ]

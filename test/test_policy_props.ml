@@ -6,6 +6,7 @@ module Job = Flux_core.Job
 module Jobspec = Flux_core.Jobspec
 module Pool = Flux_core.Pool
 module Policy = Flux_core.Policy
+module Job_queue = Flux_core.Job_queue
 
 let policies =
   [
@@ -205,6 +206,137 @@ let prop_deterministic =
           run () = run ())
         policies)
 
+(* --- Pool node counters ---------------------------------------------------- *)
+
+(* Random grant/release/expand/shrink/donate/absorb sequences. The pool's
+   O(1) counts must equal the lengths of its lists: free nodes are read
+   back directly, members are modelled as initial + absorbed - donated. *)
+let prop_pool_counters =
+  QCheck.Test.make ~name:"pool node counters equal list lengths" ~count:300
+    (QCheck.make QCheck.Gen.(triple (1 -- 24) (0 -- 100000) (0 -- 80)))
+    (fun (nnodes, seed, nops) ->
+      let rng = Rng.create seed in
+      let pool = Pool.create ~nodes:(List.init nnodes Fun.id) () in
+      let spec = Jobspec.make ~nnodes:1 () in
+      let members = ref (List.init nnodes Fun.id) in
+      let held = ref [] and donated = ref [] and fresh = ref 1000 in
+      let pick l = List.nth l (Rng.int rng (List.length l)) in
+      let replace g g' = held := g' :: List.filter (fun h -> h != g) !held in
+      let step () =
+        match Rng.int rng 6 with
+        | 0 -> (
+          match Pool.try_grant pool ~spec ~nnodes:(1 + Rng.int rng 6) with
+          | Some g -> held := g :: !held
+          | None -> ())
+        | 1 when !held <> [] ->
+          let g = pick !held in
+          Pool.release pool g;
+          held := List.filter (fun h -> h != g) !held
+        | 2 when !held <> [] -> (
+          let g = pick !held in
+          match Pool.expand_grant pool g ~spec ~extra:(1 + Rng.int rng 4) with
+          | Some g' -> replace g g'
+          | None -> ())
+        | 3 when !held <> [] ->
+          let g = pick !held in
+          replace g (Pool.shrink_grant pool g ~spec ~release:(1 + Rng.int rng 4))
+        | 4 ->
+          let got = Pool.donate_nodes pool (Rng.int rng 5) in
+          donated := got @ !donated;
+          members := List.filter (fun r -> not (List.mem r got)) !members
+        | _ ->
+          (* Give back some donated nodes, or brand-new ones. *)
+          let back =
+            match !donated with
+            | r :: rest ->
+              donated := rest;
+              [ r ]
+            | [] ->
+              incr fresh;
+              [ !fresh ]
+          in
+          Pool.absorb_nodes pool back;
+          members := List.sort_uniq compare (back @ !members)
+      in
+      let ok () =
+        Pool.free_nodes pool = List.length (Pool.free_node_list pool)
+        && Pool.total_nodes pool = List.length !members
+      in
+      let rec go k = k = 0 || (step (); ok () && go (k - 1)) in
+      ok () && go nops)
+
+(* --- Pending queue ----------------------------------------------------------- *)
+
+type queue_op = Push of int | Remove of int | View
+
+let gen_queue_ops =
+  QCheck.Gen.(
+    list_size (0 -- 200)
+      (frequency
+         [
+           (4, map (fun x -> Push x) (0 -- 20));
+           (* 21..25 are never pushed: absent removals *)
+           (3, map (fun x -> Remove x) (0 -- 25));
+           (1, return View);
+         ]))
+
+let print_queue_op = function
+  | Push x -> Printf.sprintf "push %d" x
+  | Remove x -> Printf.sprintf "remove %d" x
+  | View -> "view"
+
+(* The queue against a plain list: removal drops the first equal
+   element, the view is the list, and the length matches throughout. *)
+let prop_queue_model =
+  QCheck.Test.make ~name:"pending queue behaves like a list" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print_queue_op) gen_queue_ops)
+    (fun ops ->
+      let q = Job_queue.create () in
+      let rec remove_first x = function
+        | [] -> []
+        | y :: rest -> if y = x then rest else y :: remove_first x rest
+      in
+      let model =
+        List.fold_left
+          (fun model op ->
+            let model =
+              match op with
+              | Push x ->
+                Job_queue.push q x;
+                model @ [ x ]
+              | Remove x ->
+                Job_queue.remove q x;
+                remove_first x model
+              | View ->
+                if Job_queue.to_list q <> model then QCheck.Test.fail_report "view differs";
+                model
+            in
+            if Job_queue.length q <> List.length model then
+              QCheck.Test.fail_report "length differs";
+            if Job_queue.is_empty q <> (model = []) then
+              QCheck.Test.fail_report "is_empty differs";
+            model)
+          [] ops
+      in
+      Job_queue.to_list q = model)
+
+(* EASY backfill can start a job deep in a long queue: removal there
+   must not grow the stack. *)
+let test_queue_deep_removal () =
+  let n = 100_000 in
+  let q = Job_queue.create () in
+  let items = Array.init n (fun i -> ref i) in
+  Array.iter (Job_queue.push q) items;
+  Job_queue.remove q items.(n - 1);
+  Job_queue.remove q items.(n / 2);
+  Job_queue.remove q (ref 0);
+  Alcotest.(check int) "length" (n - 2) (Job_queue.length q);
+  let view = Job_queue.to_list q in
+  Alcotest.(check int) "view length" (n - 2) (List.length view);
+  Alcotest.(check bool) "removed members gone" false
+    (List.memq items.(n - 1) view || List.memq items.(n / 2) view);
+  Alcotest.(check bool) "order kept" true (List.hd view == items.(0))
+
 let () =
   Alcotest.run "flux_policy_props"
     [
@@ -219,5 +351,9 @@ let () =
             prop_no_double_allocation;
             prop_grant_release_roundtrip;
             prop_deterministic;
+            prop_pool_counters;
           ] );
+      ( "queue",
+        Alcotest.test_case "100k-deep removal" `Quick test_queue_deep_removal
+        :: List.map QCheck_alcotest.to_alcotest [ prop_queue_model ] );
     ]
