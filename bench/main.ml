@@ -444,10 +444,21 @@ let micro () =
                  : Sha1.digest)));
       Test.make ~name:"heap-push-pop"
         (Staged.stage
-           (let h = Heap.create () in
+           (* Steady depth 16k, near kap-get's engine.pending_hwm: each run
+              pops the earliest entry and re-queues it a seeded delay
+              later, so both the pop and the push sift through the tree. *)
+           (let rng = Rng.create 7 in
+            let delays = Array.init 4096 (fun _ -> Rng.float rng 1.0) in
+            let h = Heap.create ~dummy:() in
+            for i = 0 to 16_383 do
+              Heap.push h delays.(i land 4095) ()
+            done;
+            let k = ref 0 in
             fun () ->
-              Heap.push h 1.0 ();
-              ignore (Heap.pop h : (float * unit) option)));
+              let t = Heap.top_prio h in
+              Heap.pop_top h;
+              k := (!k + 1) land 4095;
+              Heap.push h (t +. delays.(!k)) ()));
       Test.make ~name:"kap-4nodes-end-to-end"
         (Staged.stage (fun () -> ignore (Kap.run { Kap.default with Kap.nodes = 4 } : Kap.result)));
     ]

@@ -30,19 +30,20 @@ val compactions : t -> int
 (** Number of compaction passes run since creation. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
-(** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative delays
-    raise [Invalid_argument]. *)
+(** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative and
+    NaN delays raise [Invalid_argument]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] fires [f] at absolute [time]; raises
-    [Invalid_argument] if [time] is in the past. *)
+    [Invalid_argument] if [time] is in the past or NaN. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-fired or cancelled event is a no-op. *)
 
 val every : t -> period:float -> (unit -> unit) -> handle
 (** [every t ~period f] fires [f] every [period] seconds starting at
-    [now + period] until cancelled. *)
+    [now + period] until cancelled. A [period] that is not positive
+    (including NaN) raises [Invalid_argument]. *)
 
 val run : ?until:float -> t -> unit
 (** [run t] executes events until the queue drains (or virtual time

@@ -38,7 +38,7 @@ let ref_pop entries =
 let prop_heap_matches_stable_sort =
   QCheck.Test.make ~name:"heap pop order = stable sort under push/pop interleaving"
     ~count:500 heap_ops_arb (fun ops ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 in
       let seq = ref 0 in
       let model = ref [] in
       let ok = ref true in
@@ -74,7 +74,7 @@ let prop_heap_filter_preserves_order =
     ~name:"heap filter keeps survivors' stable pop order" ~count:300
     QCheck.(list (pair (int_range 0 4) small_nat))
     (fun pushes ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:(0, 0) in
       List.iteri (fun i (p, v) -> Heap.push h (float_of_int p) (i, v)) pushes;
       let keep (_, v) = v mod 2 = 0 in
       Heap.filter h keep;

@@ -84,6 +84,77 @@ let test_engine_exception_propagates () =
   ignore (Engine.schedule eng ~delay:1.0 (fun () -> failwith "boom"));
   Alcotest.check_raises "escapes run" (Failure "boom") (fun () -> Engine.run eng)
 
+(* Only cancelled entries still in the queue count as pending: a handle
+   cancelled after it fired, or the never-queued handle of [every], adds
+   nothing. Once they outnumber the live entries the queue compacts. *)
+let test_engine_cancel_accounting () =
+  let eng = Engine.create () in
+  let fired = Engine.schedule eng ~delay:0.5 ignore in
+  let hs = List.init 100 (fun i -> Engine.schedule eng ~delay:(float_of_int (i + 1)) ignore) in
+  let ticker = Engine.every eng ~period:0.25 ignore in
+  ignore (Engine.step eng : bool);
+  ignore (Engine.step eng : bool);
+  Engine.cancel fired;
+  Engine.cancel ticker;
+  check int "fired and persistent handles not counted" 0 (Engine.cancelled_pending eng);
+  List.iteri (fun i h -> if i < 50 then Engine.cancel h) hs;
+  check int "queued cancels counted" 50 (Engine.cancelled_pending eng);
+  check int "no compaction at 50 of 101" 0 (Engine.compactions eng);
+  Engine.cancel (List.nth hs 50);
+  check int "compacted once they outnumber live" 1 (Engine.compactions eng);
+  check int "cancelled dropped" 0 (Engine.cancelled_pending eng);
+  check int "live entries kept" 50 (Engine.pending eng);
+  Engine.run eng;
+  (* a tick, [fired], the tick in flight at the cancel, 49 timers *)
+  check int "events executed" 52 (Engine.events_executed eng)
+
+(* A NaN time compares false against everything, so one queued NaN
+   would break heap order for every later event. *)
+let test_engine_nan_delay () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "schedule" (Invalid_argument "Engine.schedule: delay is NaN")
+    (fun () -> ignore (Engine.schedule eng ~delay:Float.nan ignore : Engine.handle));
+  Alcotest.check_raises "every" (Invalid_argument "Engine.every: period must be positive")
+    (fun () -> ignore (Engine.every eng ~period:Float.nan ignore : Engine.handle));
+  check int "nothing queued" 0 (Engine.pending eng)
+
+let test_engine_nan_time () =
+  let eng = Engine.create () in
+  Alcotest.check_raises "schedule_at" (Invalid_argument "Engine.schedule_at: time is NaN")
+    (fun () -> ignore (Engine.schedule_at eng ~time:Float.nan ignore : Engine.handle));
+  check int "nothing queued" 0 (Engine.pending eng)
+
+(* The queue's per-event cost is one handle record: priorities sit
+   unboxed in the heap and pops allocate nothing. Events here are no-ops
+   that reschedule themselves at a steady depth of 16k (kap-get's
+   engine.pending_hwm), so what survives a minor GC is the engine's own
+   per-event allocation. *)
+let test_engine_steady_depth_alloc () =
+  let eng = Engine.create () in
+  let rng = Flux_util.Rng.create 3 in
+  let delays = Array.init 4096 (fun _ -> Flux_util.Rng.float rng 1.0) in
+  let k = ref 0 in
+  let rec ev () =
+    k := (!k + 1) land 4095;
+    ignore (Engine.schedule eng ~delay:delays.(!k) ev : Engine.handle)
+  in
+  for _ = 1 to 16_384 do
+    ev ()
+  done;
+  for _ = 1 to 50_000 do
+    ignore (Engine.step eng : bool)
+  done;
+  let events = 200_000 in
+  let _, promoted0, _ = Gc.counters () in
+  for _ = 1 to events do
+    ignore (Engine.step eng : bool)
+  done;
+  let _, promoted1, _ = Gc.counters () in
+  check int "steady depth" 16_384 (Engine.pending eng);
+  let per_event = (promoted1 -. promoted0) /. float_of_int events in
+  if per_event >= 8.0 then
+    Alcotest.failf "%.2f promoted words per event, limit 8" per_event
+
 (* --- Ivar ------------------------------------------------------------- *)
 
 let test_ivar_fill_then_wait () =
@@ -345,6 +416,10 @@ let () =
           Alcotest.test_case "every" `Quick test_engine_every;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
           Alcotest.test_case "exception propagates" `Quick test_engine_exception_propagates;
+          Alcotest.test_case "cancel accounting" `Quick test_engine_cancel_accounting;
+          Alcotest.test_case "nan delay" `Quick test_engine_nan_delay;
+          Alcotest.test_case "nan time" `Quick test_engine_nan_time;
+          Alcotest.test_case "steady-depth allocation" `Quick test_engine_steady_depth_alloc;
         ] );
       ( "ivar",
         [

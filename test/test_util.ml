@@ -17,35 +17,40 @@ let string = Alcotest.string
 (* --- Heap ----------------------------------------------------------- *)
 
 let test_heap_basic () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   check bool "empty" true (Heap.is_empty h);
   Heap.push h 3.0 "c";
   Heap.push h 1.0 "a";
   Heap.push h 2.0 "b";
   check int "length" 3 (Heap.length h);
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) string)) "peek"
-    (Some (1.0, "a")) (Heap.peek h);
-  let order = List.init 3 (fun _ -> snd (Heap.pop_exn h)) in
+  check (Alcotest.float 0.0) "top_prio" 1.0 (Heap.top_prio h);
+  check string "top" "a" (Heap.top h);
+  check int "top leaves it queued" 3 (Heap.length h);
+  let order = List.init 3 (fun _ -> Heap.pop_top h) in
   check (Alcotest.list string) "pop order" [ "a"; "b"; "c" ] order;
   check bool "empty again" true (Heap.is_empty h)
 
 let test_heap_stability () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:"" in
   List.iteri (fun i name -> Heap.push h (float_of_int (i mod 2)) name)
     [ "a"; "b"; "c"; "d"; "e"; "f" ];
   (* prio 0: a c e (insertion order); prio 1: b d f *)
-  let popped = List.init 6 (fun _ -> snd (Heap.pop_exn h)) in
+  let popped = List.init 6 (fun _ -> Heap.pop_top h) in
   check (Alcotest.list string) "stable ties" [ "a"; "c"; "e"; "b"; "d"; "f" ] popped
 
 let test_heap_pop_empty () =
-  let h : int Heap.t = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   check (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) int)) "pop empty" None
     (Heap.pop h);
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
+  Alcotest.check_raises "pop_top empty" (Invalid_argument "Heap.pop_top: empty heap")
+    (fun () -> ignore (Heap.pop_top h : int));
+  Alcotest.check_raises "top_prio empty" (Invalid_argument "Heap.top_prio: empty heap")
+    (fun () -> ignore (Heap.top_prio h : float));
+  Alcotest.check_raises "top empty" (Invalid_argument "Heap.top: empty heap")
+    (fun () -> ignore (Heap.top h : int))
 
 let test_heap_clear () =
-  let h = Heap.create () in
+  let h = Heap.create ~dummy:0 in
   for i = 0 to 99 do
     Heap.push h (float_of_int i) i
   done;
@@ -59,7 +64,7 @@ let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun prios ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 in
       List.iteri (fun i p -> Heap.push h p i) prios;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
@@ -71,12 +76,114 @@ let prop_heap_grow =
   QCheck.Test.make ~name:"heap handles growth beyond initial capacity" ~count:20
     QCheck.(int_bound 500)
     (fun n ->
-      let h = Heap.create () in
+      let h = Heap.create ~dummy:0 in
       for i = n downto 1 do
         Heap.push h (float_of_int i) i
       done;
       Heap.length h = n
-      && (n = 0 || snd (Heap.pop_exn h) = 1))
+      && (n = 0 || Heap.pop_top h = 1))
+
+(* Model: the queued (prio, seq) pairs, kept sorted, so the head is
+   what the heap must pop next; the value pushed is its seq. Four
+   priorities make ties common. Pushes outnumber pops and filters and
+   clears are rare, so most runs of up to 1000 operations queue more
+   than 64 elements: the arrays double at least three times past their
+   initial 16 slots. *)
+type heap_op = H_push of int | H_pop | H_filter of int | H_clear
+
+let heap_model_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (240, map (fun p -> H_push p) (int_range 0 3));
+        (100, return H_pop);
+        (3, map (fun m -> H_filter m) (int_range 2 4));
+        (1, return H_clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops ->
+      String.concat ";"
+        (List.map
+           (function
+             | H_push p -> Printf.sprintf "push %d" p
+             | H_pop -> "pop"
+             | H_filter m -> Printf.sprintf "filter %d" m
+             | H_clear -> "clear")
+           ops))
+    (list_size (int_range 0 1000) op)
+
+let prop_heap_model =
+  QCheck.Test.make ~name:"push/pop/filter/clear match a sorted-list model" ~count:200
+    heap_model_arb (fun ops ->
+      let h = Heap.create ~dummy:(-1) in
+      let model = ref [] and seq = ref 0 in
+      let step = function
+        | H_push p ->
+          Heap.push h (float_of_int p) !seq;
+          model := List.merge compare !model [ (p, !seq) ];
+          incr seq;
+          true
+        | H_pop -> (
+          match (Heap.pop h, !model) with
+          | None, [] -> true
+          | Some (hp, hv), (p, v) :: rest ->
+            model := rest;
+            hp = float_of_int p && hv = v
+          | _ -> false)
+        | H_filter m ->
+          let keep v = v mod m <> 0 in
+          Heap.filter h keep;
+          model := List.filter (fun (_, v) -> keep v) !model;
+          true
+        | H_clear ->
+          Heap.clear h;
+          model := [];
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Heap.length h = List.length !model
+          &&
+          match !model with
+          | [] -> Heap.is_empty h
+          | (p, v) :: _ -> Heap.top_prio h = float_of_int p && Heap.top h = v)
+        ops)
+
+(* Every slot the heap vacates gets the dummy, so a popped, filtered or
+   cleared value is garbage as soon as the caller drops it. *)
+let test_heap_no_retention () =
+  let h = Heap.create ~dummy:(ref (-1)) in
+  let collected = ref 0 in
+  let[@inline never] push_boxed n =
+    for i = 1 to n do
+      let v = ref i in
+      Gc.finalise_last (fun () -> incr collected) v;
+      Heap.push h (float_of_int (i mod 7)) v
+    done
+  in
+  let[@inline never] pop n =
+    for _ = 1 to n do
+      ignore (Heap.pop_top h : int ref)
+    done
+  in
+  push_boxed 100;
+  pop 40;
+  Gc.full_major ();
+  check int "popped values collected" 40 !collected;
+  Heap.filter h (fun v -> !v mod 2 = 0);
+  let kept = Heap.length h in
+  Gc.full_major ();
+  check int "filtered values collected" (100 - kept) !collected;
+  Heap.clear h;
+  Gc.full_major ();
+  check int "cleared values collected" 100 !collected;
+  push_boxed 10;
+  pop 10;
+  Gc.full_major ();
+  check int "values popped to empty collected" 110 !collected
 
 (* --- Rng ------------------------------------------------------------- *)
 
@@ -368,8 +475,9 @@ let () =
           Alcotest.test_case "stable ties" `Quick test_heap_stability;
           Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
           Alcotest.test_case "clear" `Quick test_heap_clear;
+          Alcotest.test_case "no retention" `Quick test_heap_no_retention;
         ] );
-      qsuite "heap-props" [ prop_heap_sorted; prop_heap_grow ];
+      qsuite "heap-props" [ prop_heap_sorted; prop_heap_grow; prop_heap_model ];
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
